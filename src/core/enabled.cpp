@@ -132,9 +132,24 @@ bool transition_enabled(const Protocol& proto, const State& s, TransitionId tid)
 bool pool_insufficient(const Protocol& proto, const State& s, TransitionId tid) {
   const Transition& t = proto.transition(tid);
   if (t.arity == kSpontaneous) return false;  // never lacks messages
-  const Pool pool = collect_pool(s, t);
-  if (t.arity == kPowersetArity || t.arity == 1) return pool.groups.empty();
-  return pool.n_senders() < static_cast<unsigned>(t.arity);
+  // Count distinct allowed senders in the pending run (sorted by sender, so
+  // one sender's messages are adjacent) and stop as soon as the arity is
+  // covered; no pool is built.
+  const unsigned need =
+      t.arity == kPowersetArity || t.arity == 1 ? 1u
+                                                : static_cast<unsigned>(t.arity);
+  const auto [lo, hi] = s.pending_range(t.proc, t.in_type);
+  const auto& net = s.network();
+  unsigned senders = 0;
+  ProcessId last = 0;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const ProcessId from = net[i].sender();
+    if (!mask_contains(t.allowed_senders, from)) continue;
+    if (senders != 0 && from == last) continue;
+    last = from;
+    if (++senders >= need) return false;
+  }
+  return true;
 }
 
 }  // namespace mpb

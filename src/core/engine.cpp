@@ -5,6 +5,8 @@
 #include <chrono>
 #include <memory>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 #include <thread>
 
 namespace mpb::engine {
@@ -18,197 +20,70 @@ namespace {
 
 inline constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
 
-// Iterative Tarjan over `adj`, rooted at each vertex of `seeds` not yet
-// numbered, assigning component ids from `next_comp` up; returns the next
-// free id. The scratch arrays (num/low/on_stk/comp) may be shared between
-// concurrent calls as long as the vertex sets reachable from different
-// calls' seeds are disjoint — the sharded pass guarantees that by seeding
-// each shard with whole weakly connected components.
-std::uint32_t tarjan_over(const std::vector<std::vector<std::uint32_t>>& adj,
-                          const std::vector<std::uint32_t>& seeds,
-                          std::vector<std::uint32_t>& num,
-                          std::vector<std::uint32_t>& low,
-                          std::vector<char>& on_stk,
-                          std::vector<std::uint32_t>& comp,
-                          std::uint32_t next_comp) {
-  std::uint32_t counter = 0;
+// Per-vertex flags of the SCC ignoring pass.
+inline constexpr std::uint8_t kFullVertex = 1;  // expanded with every event
+inline constexpr std::uint8_t kSelfLoop = 2;
+inline constexpr std::uint8_t kOnStack = 4;     // Tarjan stack membership
+
+// The recorded reduced graph over dense vertex numbers, in CSR form: the
+// successors of v are targets[offsets[v] .. offsets[v + 1]). Self loops are
+// kept out of the adjacency and flagged instead.
+struct Csr {
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> targets;
+};
+
+// One iterative Tarjan over `g`, rooted at every vertex in ascending order.
+// Calls on_scc(members) for each strongly connected component as it
+// completes (reverse topological order); `flag` must carry kFullVertex /
+// kSelfLoop and is used for the stack marks.
+template <typename OnScc>
+void tarjan(const Csr& g, std::vector<std::uint8_t>& flag, OnScc on_scc) {
+  const auto n = static_cast<std::uint32_t>(flag.size());
+  std::vector<std::uint32_t> num(n, kUnvisited), low(n);
   std::vector<std::uint32_t> stk;
-  struct TFrame {
+  struct Frame {
     std::uint32_t v;
-    std::size_t ei;
+    std::uint32_t ei;  // next edge to follow, an index into g.targets
   };
-  std::vector<TFrame> dfs;
-  for (const std::uint32_t root : seeds) {
+  std::vector<Frame> dfs;
+  std::uint32_t counter = 0;
+  for (std::uint32_t root = 0; root < n; ++root) {
     if (num[root] != kUnvisited) continue;
-    dfs.push_back({root, 0});
-    num[root] = low[root] = counter++;
-    stk.push_back(root);
-    on_stk[root] = 1;
+    auto open = [&](std::uint32_t v) {
+      num[v] = low[v] = counter++;
+      stk.push_back(v);
+      flag[v] |= kOnStack;
+      dfs.push_back({v, g.offsets[v]});
+    };
+    open(root);
     while (!dfs.empty()) {
-      TFrame& f = dfs.back();
-      if (f.ei < adj[f.v].size()) {
-        const std::uint32_t u = adj[f.v][f.ei++];
+      Frame& f = dfs.back();
+      if (f.ei < g.offsets[f.v + 1]) {
+        const std::uint32_t u = g.targets[f.ei++];
         if (num[u] == kUnvisited) {
-          num[u] = low[u] = counter++;
-          stk.push_back(u);
-          on_stk[u] = 1;
-          dfs.push_back({u, 0});
-        } else if (on_stk[u]) {
+          open(u);
+        } else if (flag[u] & kOnStack) {
           low[f.v] = std::min(low[f.v], num[u]);
         }
-      } else {
-        const std::uint32_t v = f.v;
-        dfs.pop_back();
-        if (!dfs.empty()) {
-          low[dfs.back().v] = std::min(low[dfs.back().v], low[v]);
-        }
-        if (low[v] == num[v]) {  // v roots an SCC
-          for (;;) {
-            const std::uint32_t u = stk.back();
-            stk.pop_back();
-            on_stk[u] = 0;
-            comp[u] = next_comp;
-            if (u == v) break;
-          }
-          ++next_comp;
-        }
+        continue;
       }
+      const std::uint32_t v = f.v;
+      dfs.pop_back();
+      if (!dfs.empty()) low[dfs.back().v] = std::min(low[dfs.back().v], low[v]);
+      if (low[v] != num[v]) continue;
+      // v roots an SCC: its members are the stack above (and including) v.
+      auto first = stk.end();
+      do {
+        --first;
+        flag[*first] &= static_cast<std::uint8_t>(~kOnStack);
+      } while (*first != v);
+      on_scc(std::span<const std::uint32_t>(&*first,
+                                            static_cast<std::size_t>(
+                                                stk.end() - first)));
+      stk.erase(first, stk.end());
     }
   }
-  return next_comp;
-}
-
-// Sharded SCC computation for multi-threaded runs. An SCC never spans two
-// weakly connected components, so a cheap WCC pre-partition makes Tarjan
-// embarrassingly parallel: (1) a lock-free union-find over the edges,
-// processed by all threads concurrently, labels every vertex with its WCC;
-// (2) the WCCs are dealt onto `threads` weight-balanced shards; (3) each
-// shard runs an independent Tarjan over its components with local ids;
-// (4) the per-shard counts are stitched into one id space by prefix-sum
-// offset. Every step is deterministic regardless of thread interleaving:
-// union-by-smaller-index makes each WCC's root its minimum vertex, the deal
-// iterates WCCs largest-first in first-vertex order, and each shard numbers
-// its components in seed order — so comp ids depend only on the graph.
-std::uint32_t sccs_sharded(const std::vector<std::vector<std::uint32_t>>& adj,
-                           std::vector<std::uint32_t>& comp,
-                           unsigned threads) {
-  const std::size_t n = adj.size();
-
-  // Parallel WCC union-find. parent chains are strictly decreasing (larger
-  // roots attach under smaller, path-halving only shortcuts), so the
-  // structure is acyclic under any interleaving and every WCC converges on
-  // its minimum vertex as root.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> parent(
-      new std::atomic<std::uint32_t>[n]);
-  for (std::size_t v = 0; v < n; ++v) {
-    parent[v].store(static_cast<std::uint32_t>(v), std::memory_order_relaxed);
-  }
-  auto find = [&](std::uint32_t x) {
-    for (;;) {
-      std::uint32_t p = parent[x].load(std::memory_order_relaxed);
-      if (p == x) return x;
-      const std::uint32_t gp = parent[p].load(std::memory_order_relaxed);
-      if (gp == p) return p;
-      parent[x].compare_exchange_weak(p, gp, std::memory_order_relaxed);
-      x = gp;
-    }
-  };
-  auto unite = [&](std::uint32_t a, std::uint32_t b) {
-    for (;;) {
-      a = find(a);
-      b = find(b);
-      if (a == b) return;
-      if (a > b) std::swap(a, b);
-      std::uint32_t expect = b;
-      if (parent[b].compare_exchange_strong(expect, a,
-                                            std::memory_order_relaxed)) {
-        return;
-      }
-    }
-  };
-  {
-    std::vector<std::thread> pool;
-    const std::size_t chunk = (n + threads - 1) / threads;
-    for (unsigned t = 0; t < threads; ++t) {
-      const std::size_t lo = t * chunk;
-      const std::size_t hi = std::min(n, lo + chunk);
-      if (lo >= hi) break;
-      pool.emplace_back([&adj, &unite, lo, hi] {
-        for (std::size_t v = lo; v < hi; ++v) {
-          for (const std::uint32_t u : adj[v]) {
-            unite(static_cast<std::uint32_t>(v), u);
-          }
-        }
-      });
-    }
-    for (std::thread& th : pool) th.join();
-  }
-
-  // Enumerate WCCs in ascending-minimum-vertex order (deterministic).
-  std::vector<std::uint32_t> wcc_of(n);
-  std::vector<std::uint32_t> wcc_size;
-  std::vector<std::uint32_t> index_of_root(n, kUnvisited);
-  for (std::uint32_t v = 0; v < static_cast<std::uint32_t>(n); ++v) {
-    const std::uint32_t r = find(v);
-    if (index_of_root[r] == kUnvisited) {
-      index_of_root[r] = static_cast<std::uint32_t>(wcc_size.size());
-      wcc_size.push_back(0);
-    }
-    wcc_of[v] = index_of_root[r];
-    ++wcc_size[wcc_of[v]];
-  }
-
-  // Deal WCCs onto shards, largest first, each to the least-loaded shard
-  // (ties break toward the lower id — deterministic).
-  std::vector<std::uint32_t> order(wcc_size.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return wcc_size[a] > wcc_size[b];
-                   });
-  std::vector<std::uint64_t> load(threads, 0);
-  std::vector<std::uint32_t> shard_of_wcc(wcc_size.size(), 0);
-  for (const std::uint32_t wi : order) {
-    unsigned best = 0;
-    for (unsigned s = 1; s < threads; ++s) {
-      if (load[s] < load[best]) best = s;
-    }
-    shard_of_wcc[wi] = best;
-    load[best] += wcc_size[wi];
-  }
-  std::vector<std::vector<std::uint32_t>> seeds(threads);
-  for (std::uint32_t v = 0; v < static_cast<std::uint32_t>(n); ++v) {
-    seeds[shard_of_wcc[wcc_of[v]]].push_back(v);
-  }
-
-  // Per-shard Tarjan with shard-local ids. The scratch arrays are shared but
-  // every vertex belongs to exactly one shard, so writes are disjoint.
-  std::vector<std::uint32_t> num(n, kUnvisited), low(n);
-  std::vector<char> on_stk(n, 0);
-  std::vector<std::uint32_t> shard_comps(threads, 0);
-  {
-    std::vector<std::thread> pool;
-    for (unsigned s = 0; s < threads; ++s) {
-      if (seeds[s].empty()) continue;
-      pool.emplace_back([&, s] {
-        shard_comps[s] =
-            tarjan_over(adj, seeds[s], num, low, on_stk, comp, 0);
-      });
-    }
-    for (std::thread& th : pool) th.join();
-  }
-
-  // Condensation stitch: offset each shard's local ids into one id space.
-  std::vector<std::uint32_t> offset(threads, 0);
-  std::uint32_t total = 0;
-  for (unsigned s = 0; s < threads; ++s) {
-    offset[s] = total;
-    total += shard_comps[s];
-  }
-  for (std::uint32_t v = 0; v < static_cast<std::uint32_t>(n); ++v) {
-    comp[v] += offset[shard_of_wcc[wcc_of[v]]];
-  }
-  return total;
 }
 
 }  // namespace
@@ -343,33 +218,6 @@ void ExpansionCore::run_scc_ignoring_pass(
   WorkerCtx& w = *workers_[0];
   const ShardedVisited& graph = visited_.graph();
 
-  // Dense ids over every handle the recorded edges / full marks mention.
-  std::unordered_map<StateHandle, std::uint32_t> id;
-  std::vector<StateHandle> handle_of;
-  std::vector<char> full;
-  auto id_of = [&](StateHandle h) {
-    const auto [it, fresh] =
-        id.try_emplace(h, static_cast<std::uint32_t>(handle_of.size()));
-    if (fresh) {
-      handle_of.push_back(h);
-      full.push_back(0);
-    }
-    return it->second;
-  };
-
-  // Merge the per-worker recordings once; re-expansion appends to `edges`.
-  std::vector<GraphEdge> edges;
-  for (const auto& wk : workers_) {
-    for (const GraphEdge& e : wk->edges) {
-      id_of(e.from);
-      id_of(e.to);
-      edges.push_back(e);
-    }
-    for (StateHandle h : wk->full_handles) full[id_of(h)] = 1;
-    wk->edges.clear();
-    wk->full_handles.clear();
-  }
-
   // The concrete state behind an interned entry: invert the recorded
   // permutation when a symmetry reduction is installed (identity otherwise).
   auto concrete_of = [&](StateHandle h) -> State {
@@ -433,7 +281,7 @@ void ExpansionCore::run_scc_ignoring_pass(
         if (collect_terminals) {
           terminals.push_back(canonical_fingerprint(cur->s));
         }
-        full[id_of(pw.h)] = 1;
+        record_full(w, pw.h);
         w.release(cur);
         continue;
       }
@@ -446,7 +294,7 @@ void ExpansionCore::run_scc_ignoring_pass(
         k = select(cur->s, w, result.stats, /*on_stack=*/{},
                    /*stateless=*/false, &reduced);
       }
-      if (k == w.enabled.size()) full[id_of(pw.h)] = 1;
+      if (k == w.enabled.size()) record_full(w, pw.h);
       for (std::size_t j = 0; j < k && !stop; ++j) {
         const Event& e = w.enabled[reduced ? w.idx[j] : j];
         Item* succ = w.alloc();
@@ -475,10 +323,7 @@ void ExpansionCore::run_scc_ignoring_pass(
         Fingerprint canon_fp;
         const VisitedInsert ins =
             insert_canonical(succ->s, pw.h, &e, &canon_fp);
-        if (ins.handle != kNoHandle) {
-          id_of(ins.handle);
-          edges.push_back({pw.h, ins.handle});
-        }
+        record_edge(w, pw.h, ins.handle);
         if (ins.inserted) {
           const std::uint64_t stored = visited_.size();
           LimitKind slk = LimitKind::kNone;
@@ -517,62 +362,67 @@ void ExpansionCore::run_scc_ignoring_pass(
         break;
       }
     }
-    const std::size_t n = handle_of.size();
-    if (n == 0) break;
-    std::vector<std::vector<std::uint32_t>> adj(n);
-    std::vector<char> self_loop(n, 0);
-    for (const GraphEdge& e : edges) {
-      const std::uint32_t a = id.at(e.from);
-      const std::uint32_t b = id.at(e.to);
-      if (a == b) {
-        self_loop[a] = 1;
-      } else {
-        adj[a].push_back(b);
+    // Vertices are numbered densely from their handles, renumbered every
+    // round because re-expansion interns new states. The numbering keeps
+    // handle order, so the smallest member of an SCC is its smallest handle.
+    const ShardedVisited::DenseNumbering dense = graph.dense_numbering();
+    if (dense.size() >= kUnvisited) {
+      throw std::length_error("scc pass: more states than 32-bit vertex ids");
+    }
+    const auto n = static_cast<std::uint32_t>(dense.size());
+    std::vector<std::uint8_t> flag(n, 0);
+    Csr g;
+    g.offsets.assign(std::size_t{n} + 1, 0);
+    for (const auto& wk : workers_) {
+      for (const StateHandle h : wk->full_handles) {
+        flag[dense.of(h)] |= kFullVertex;
+      }
+      for (const GraphEdge& e : wk->edges) {
+        const auto a = static_cast<std::uint32_t>(dense.of(e.from));
+        if (a == dense.of(e.to)) {
+          flag[a] |= kSelfLoop;
+        } else {
+          ++g.offsets[a + 1];
+        }
       }
     }
-
-    // SCC ids: one Tarjan over the whole graph sequentially, or — when the
-    // run has a worker pool — the WCC-sharded variant (sccs_sharded above),
-    // so the pass stops serializing multi-threaded runs. Both assign ids
-    // deterministically; everything below depends only on the component
-    // *partition*, so t1 and tN reach identical re-expansion sets.
-    std::vector<std::uint32_t> comp(n, kUnvisited);
-    std::uint32_t n_comps = 0;
-    if (workers_.size() > 1 && n > 1) {
-      n_comps = sccs_sharded(adj, comp,
-                             static_cast<unsigned>(workers_.size()));
-    } else {
-      std::vector<std::uint32_t> all(n);
-      std::iota(all.begin(), all.end(), 0);
-      std::vector<std::uint32_t> num(n, kUnvisited), low(n);
-      std::vector<char> on_stk(n, 0);
-      n_comps = tarjan_over(adj, all, num, low, on_stk, comp, 0);
+    std::partial_sum(g.offsets.begin(), g.offsets.end(), g.offsets.begin());
+    g.targets.resize(g.offsets[n]);
+    {
+      std::vector<std::uint32_t> next(g.offsets.begin(), g.offsets.end() - 1);
+      for (const auto& wk : workers_) {
+        for (const GraphEdge& e : wk->edges) {
+          const auto a = static_cast<std::uint32_t>(dense.of(e.from));
+          const auto b = static_cast<std::uint32_t>(dense.of(e.to));
+          if (a != b) g.targets[next[a]++] = b;
+        }
+      }
     }
 
     // An SCC is *ignored* when it contains a cycle (size > 1 or a self
     // loop) but no fully expanded member; its representative (the smallest
-    // handle, for determinism) gets re-expanded.
-    std::vector<std::uint32_t> comp_size(n_comps, 0);
-    std::vector<char> comp_cyclic(n_comps, 0), comp_full(n_comps, 0);
-    std::vector<StateHandle> comp_rep(n_comps, kNoHandle);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      const std::uint32_t c = comp[v];
-      if (++comp_size[c] > 1) comp_cyclic[c] = 1;
-      if (self_loop[v]) comp_cyclic[c] = 1;
-      if (full[v]) comp_full[c] = 1;
-      if (comp_rep[c] == kNoHandle || handle_of[v] < comp_rep[c]) {
-        comp_rep[c] = handle_of[v];
-      }
-    }
+    // handle, for determinism) gets re-expanded. Only the partition and the
+    // member sets matter here, never Tarjan's visiting order, so every
+    // thread count reaches identical re-expansion sets.
     work.clear();
-    for (std::uint32_t c = 0; c < n_comps; ++c) {
-      if (comp_cyclic[c] && !comp_full[c]) {
-        work.push_back({comp_rep[c], /*full_expand=*/true});
-        ++result.stats.scc_reexpansions;
+    tarjan(g, flag, [&](std::span<const std::uint32_t> members) {
+      bool cyclic = members.size() > 1;
+      std::uint32_t rep = members.front();
+      for (const std::uint32_t v : members) {
+        if (flag[v] & kFullVertex) return;
+        if (flag[v] & kSelfLoop) cyclic = true;
+        rep = std::min(rep, v);
       }
-    }
+      if (!cyclic) return;
+      work.push_back({dense.handle(rep), /*full_expand=*/true});
+      ++result.stats.scc_reexpansions;
+    });
     if (work.empty()) break;  // no ignored SCC left: the reduction is sound
     drain_work();
+  }
+  for (const auto& wk : workers_) {
+    std::vector<GraphEdge>().swap(wk->edges);
+    std::vector<StateHandle>().swap(wk->full_handles);
   }
 
   if (trunc != LimitKind::kNone && result.verdict != Verdict::kViolated) {

@@ -236,8 +236,9 @@ struct WorkerCtx {
   std::vector<Item*> steal_buf;  // steal-half batch scratch
   std::uint64_t rng;
   // SCC ignoring pass recording (CycleProviso::kScc runs only): the reduced
-  // graph's edges and the handles of fully expanded states, merged by
-  // ExpansionCore::run_scc_ignoring_pass after the main search.
+  // graph's edges and the handles of fully expanded states. After the main
+  // search ExpansionCore::run_scc_ignoring_pass reads every worker's lists
+  // in place, appends its own re-expansions to worker 0's, and frees them.
   std::vector<GraphEdge> edges;
   std::vector<StateHandle> full_handles;
 };

@@ -36,8 +36,6 @@ std::optional<VisitedMode> visited_mode_from_string(std::string_view name) noexc
 namespace {
 constexpr std::size_t kInitialSlots = 64;  // per shard; power of two
 
-constexpr unsigned kHandleShardBits = 16;
-constexpr unsigned kHandleIndexBits = 64 - kHandleShardBits;
 constexpr std::uint64_t kHandleIndexMask =
     (std::uint64_t{1} << kHandleIndexBits) - 1;
 
@@ -929,6 +927,31 @@ std::uint32_t ShardedVisited::perm_of(StateHandle h) const {
   }
   const Node* n = node_at(h);
   return n != nullptr ? n->perm : 0;
+}
+
+ShardedVisited::DenseNumbering ShardedVisited::dense_numbering() const {
+  DenseNumbering d;
+  d.base_.reserve(2 * shards_.size() + 1);
+  std::uint64_t total = 0;
+  const bool graph = visited_stores_graph(mode_);
+  for (const Shard& sh : shards_) {
+    d.base_.push_back(total);
+    if (graph) total += sh.arena_next.load(std::memory_order_acquire);
+    d.base_.push_back(total);
+    if (graph) total += sh.warena_next.load(std::memory_order_acquire);
+  }
+  d.base_.push_back(total);
+  return d;
+}
+
+StateHandle ShardedVisited::DenseNumbering::handle(
+    std::uint64_t dense) const noexcept {
+  // The last lane whose base is <= dense; empty lanes share their
+  // successor's base, so upper_bound skips them.
+  const auto lane = static_cast<std::uint64_t>(
+      std::upper_bound(base_.begin(), base_.end(), dense) - base_.begin() - 1);
+  return make_handle(static_cast<std::size_t>(lane / 2),
+                     ((lane & 1) != 0 ? kWideBit : 0) | (dense - base_[lane]));
 }
 
 std::uint64_t ShardedVisited::approx_bytes() const noexcept {

@@ -96,6 +96,7 @@ enum class VisitedMode {
 // handle produced by the exact/fingerprint modes (which intern nothing).
 using StateHandle = std::uint64_t;
 inline constexpr StateHandle kNoHandle = ~std::uint64_t{0};
+inline constexpr unsigned kHandleIndexBits = 48;  // bits below the shard
 
 struct VisitedInsert {
   bool inserted = false;         // true iff the state was newly inserted
@@ -171,6 +172,31 @@ class ShardedVisited {
   [[nodiscard]] std::uint64_t size() const noexcept {
     return total_.load(std::memory_order_relaxed);
   }
+
+  // Dense numbering of the graph entries, for passes that index flat arrays
+  // by state (the SCC ignoring pass). Entry `h` gets base(shard, lane) + its
+  // arena index, where the bases are prefix sums of the shards' arena counts
+  // in handle order (per shard the narrow lane, then the wide collapse
+  // lane). Arena indices are handed out densely, so the numbering is a
+  // bijection onto [0, size()) and a < b <=> of(a) < of(b). A snapshot:
+  // entries inserted after dense_numbering() returned are not covered.
+  class DenseNumbering {
+   public:
+    [[nodiscard]] std::uint64_t size() const noexcept { return base_.back(); }
+    [[nodiscard]] std::uint64_t of(StateHandle h) const noexcept {
+      const std::uint64_t lane =
+          (h >> kHandleIndexBits) * 2 + ((h & kWideBit) != 0 ? 1 : 0);
+      return base_[lane] + (h & (kWideBit - 1));
+    }
+    // Inverse of of(); `dense` must be below size().
+    [[nodiscard]] StateHandle handle(std::uint64_t dense) const noexcept;
+
+   private:
+    friend class ShardedVisited;
+    std::vector<std::uint64_t> base_;  // 2 * shards + 1 prefix sums
+  };
+  // Empty outside the graph modes.
+  [[nodiscard]] DenseNumbering dense_numbering() const;
 
   // Bytes of state storage, counted at allocation granularity: every slot
   // table (live and retired), every arena chunk, and — in interned mode —

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/enabled.hpp"
+
 namespace mpb {
 
 std::string_view to_string(SeedHeuristic h) noexcept {
@@ -27,51 +29,108 @@ std::string_view to_string(CycleProviso p) noexcept {
 SporStrategy::SporStrategy(const Protocol& proto, SporOptions opts)
     : proto_(proto), opts_(opts), rel_(proto) {}
 
+// Per-thread scratch of select() and stubborn_set(), reused across calls so
+// that selection allocates nothing but its result. Membership is stamped
+// instead of cleared: stamps come from one per-thread 64-bit counter that
+// only grows, so a stale stamp (from an earlier call, seed, or another
+// strategy instance run by the same thread) never equals the current one.
+//   is_enabled[t] == call  t is enabled in the state under selection;
+//   in_set[t] == set       t is in the current seed's candidate set;
+//   nes_at[t] == call      nes[t] caches pool_insufficient(s, t).
+// `n_enabled_in` counts the enabled members of the current set.
+struct SporStrategy::Scratch {
+  std::vector<TransitionId> enabled;  // distinct enabled tids, ascending
+  std::vector<TransitionId> seeds;    // `enabled` in heuristic order
+  std::vector<TransitionId> work;
+  std::vector<std::uint64_t> is_enabled;
+  std::vector<std::uint64_t> in_set;
+  std::vector<std::uint64_t> nes_at;
+  std::vector<char> nes;
+  std::uint64_t stamp = 0;
+  std::uint64_t call = 0;
+  std::uint64_t set = 0;
+  std::size_t n_enabled_in = 0;
+
+  // Begin a selection in a state whose distinct enabled tids are `enabled`.
+  void begin_call(unsigned n_transitions) {
+    if (in_set.size() < n_transitions) {
+      is_enabled.resize(n_transitions, 0);
+      in_set.resize(n_transitions, 0);
+      nes_at.resize(n_transitions, 0);
+      nes.resize(n_transitions, 0);
+    }
+    call = ++stamp;
+    for (TransitionId t : enabled) is_enabled[t] = call;
+  }
+
+  // Begin an empty candidate set.
+  void begin_set() {
+    set = ++stamp;
+    n_enabled_in = 0;
+    work.clear();
+  }
+
+  void add(TransitionId t) {
+    if (in_set[t] == set) return;
+    in_set[t] = set;
+    work.push_back(t);
+    if (is_enabled[t] == call) ++n_enabled_in;
+  }
+
+  [[nodiscard]] bool contains(TransitionId t) const { return in_set[t] == set; }
+};
+
+SporStrategy::Scratch& SporStrategy::scratch() {
+  thread_local Scratch sc;
+  return sc;
+}
+
 namespace {
 
-// Deterministic seed order for a heuristic: the preferred seed first.
-std::vector<TransitionId> seed_order(const Protocol& proto,
-                                     std::vector<TransitionId> enabled,
-                                     SeedHeuristic h) {
+// Distinct enabled transition ids of `events` (grouped by tid, ascending).
+void collect_enabled(std::span<const Event> events,
+                     std::vector<TransitionId>& out) {
+  out.clear();
+  for (const Event& e : events) {
+    if (out.empty() || out.back() != e.tid) out.push_back(e.tid);
+  }
+}
+
+// Deterministic seed order for a heuristic: the preferred seed first. Ties
+// keep ascending tid, so this equals a stable sort of `enabled` by priority
+// (without the stable sort's temporary buffer).
+void seed_order(const Protocol& proto, std::span<const TransitionId> enabled,
+                SeedHeuristic h, std::vector<TransitionId>& out) {
+  out.assign(enabled.begin(), enabled.end());
+  auto prio = [&](TransitionId t) { return proto.transition(t).priority; };
   switch (h) {
     case SeedHeuristic::kOppositeTransaction:
-      std::stable_sort(enabled.begin(), enabled.end(),
-                       [&](TransitionId a, TransitionId b) {
-                         return proto.transition(a).priority >
-                                proto.transition(b).priority;
-                       });
+      std::sort(out.begin(), out.end(), [&](TransitionId a, TransitionId b) {
+        return prio(a) != prio(b) ? prio(a) > prio(b) : a < b;
+      });
       break;
     case SeedHeuristic::kTransaction:
-      std::stable_sort(enabled.begin(), enabled.end(),
-                       [&](TransitionId a, TransitionId b) {
-                         return proto.transition(a).priority <
-                                proto.transition(b).priority;
-                       });
+      std::sort(out.begin(), out.end(), [&](TransitionId a, TransitionId b) {
+        return prio(a) != prio(b) ? prio(a) < prio(b) : a < b;
+      });
       break;
     case SeedHeuristic::kFirst:
       break;  // ascending tid, as enumerated
   }
-  return enabled;
 }
 
 }  // namespace
 
-void SporStrategy::close_over(const State& s, std::span<const char> is_enabled,
-                              std::vector<char>& in_set,
-                              std::vector<TransitionId>& work) const {
-  auto push = [&](TransitionId t) {
-    if (!in_set[t]) {
-      in_set[t] = 1;
-      work.push_back(t);
-    }
-  };
-  while (!work.empty()) {
-    const TransitionId t = work.back();
-    work.pop_back();
-    if (is_enabled[t]) {
+bool SporStrategy::close_over(const State& s, Scratch& sc,
+                              std::size_t stop_at) const {
+  while (!sc.work.empty()) {
+    if (sc.n_enabled_in >= stop_at) return false;
+    const TransitionId t = sc.work.back();
+    sc.work.pop_back();
+    if (sc.is_enabled[t] == sc.call) {
       // Enabled member: everything dependent on it must be inside, so that t
       // stays a key transition and the commutation arguments apply.
-      for (TransitionId d : rel_.dependents_of(t)) push(d);
+      for (TransitionId d : rel_.dependents_of(t)) sc.add(d);
     } else {
       // Disabled member: one necessary enabling set (NES) must be inside.
       // If the pending pool cannot satisfy the arity, any enabling path must
@@ -79,36 +138,39 @@ void SporStrategy::close_over(const State& s, std::span<const char> is_enabled,
       // guard rejected every candidate set, and it could be flipped either by
       // a same-process local write *or* by additional messages (a quorum
       // guard inspecting contents), so the union of both sets is required.
-      const bool producers_suffice =
-          opts_.state_dependent_nes && pool_insufficient(proto_, s, t);
-      for (TransitionId p : rel_.producers_of(t)) push(p);
+      // Every seed's closure asks the same question of `s`, so the answer is
+      // memoized per call.
+      bool producers_suffice = false;
+      if (opts_.state_dependent_nes) {
+        if (sc.nes_at[t] != sc.call) {
+          sc.nes_at[t] = sc.call;
+          sc.nes[t] = pool_insufficient(proto_, s, t) ? 1 : 0;
+        }
+        producers_suffice = sc.nes[t] != 0;
+      }
+      for (TransitionId p : rel_.producers_of(t)) sc.add(p);
       if (!producers_suffice) {
-        for (TransitionId p : rel_.local_enablers_of(t)) push(p);
+        for (TransitionId p : rel_.local_enablers_of(t)) sc.add(p);
       }
     }
   }
+  return sc.n_enabled_in < stop_at;
 }
 
 std::vector<TransitionId> SporStrategy::stubborn_set(
     const State& s, std::span<const Event> events) const {
-  std::vector<TransitionId> enabled;
-  for (const Event& e : events) {
-    if (enabled.empty() || enabled.back() != e.tid) enabled.push_back(e.tid);
-  }
-  if (enabled.empty()) return {};
-
-  const TransitionId seed = seed_order(proto_, enabled, opts_.seed).front();
-
-  std::vector<char> is_enabled(rel_.n_transitions(), 0);
-  for (TransitionId t : enabled) is_enabled[t] = 1;
-  std::vector<char> in_set(rel_.n_transitions(), 0);
-  std::vector<TransitionId> work{seed};
-  in_set[seed] = 1;
-  close_over(s, is_enabled, in_set, work);
+  Scratch& sc = scratch();
+  collect_enabled(events, sc.enabled);
+  if (sc.enabled.empty()) return {};
+  seed_order(proto_, sc.enabled, opts_.seed, sc.seeds);
+  sc.begin_call(rel_.n_transitions());
+  sc.begin_set();
+  sc.add(sc.seeds.front());
+  close_over(s, sc, /*stop_at=*/sc.enabled.size() + 1);  // never stops early
 
   std::vector<TransitionId> result;
-  for (TransitionId t : enabled) {
-    if (in_set[t]) result.push_back(t);
+  for (TransitionId t : sc.enabled) {
+    if (sc.contains(t)) result.push_back(t);
   }
   return result;
 }
@@ -116,63 +178,67 @@ std::vector<TransitionId> SporStrategy::stubborn_set(
 std::vector<std::size_t> SporStrategy::select(const State& s,
                                               std::span<const Event> events,
                                               const StrategyContext& ctx) {
-  std::vector<std::size_t> all(events.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  if (events.size() <= 1) return all;
+  auto all = [&] {
+    std::vector<std::size_t> idx(events.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+    return idx;
+  };
+  if (events.size() <= 1) return all();
 
-  std::vector<TransitionId> enabled;
-  for (const Event& e : events) {
-    if (enabled.empty() || enabled.back() != e.tid) enabled.push_back(e.tid);
-  }
-  if (enabled.size() <= 1 && !proto_.transition(enabled.front()).visible) {
+  Scratch& sc = scratch();
+  collect_enabled(events, sc.enabled);
+  if (sc.enabled.size() <= 1 &&
+      !proto_.transition(sc.enabled.front()).visible) {
     // A single enabled transition must be taken in all its variants anyway.
-    return all;
+    return all();
   }
-
-  std::vector<char> is_enabled(rel_.n_transitions(), 0);
-  for (TransitionId t : enabled) is_enabled[t] = 1;
+  sc.begin_call(rel_.n_transitions());
+  seed_order(proto_, sc.enabled, opts_.seed, sc.seeds);
+  const std::size_t n_enabled = sc.enabled.size();
 
   // Try seeds in heuristic order; accept the first stubborn set that yields a
   // genuine reduction and passes both provisos (or, with exhaustive_seed, the
   // smallest such set). Falling through to the next seed (or to full
   // expansion) is always sound.
+  //
+  // A set that holds every enabled transition selects every event: no
+  // reduction. The closure and the visibility step only ever add members, so
+  // the moment the enabled count reaches n_enabled the seed is abandoned
+  // without finishing either — the outcome is the one a completed set would
+  // give.
   std::vector<std::size_t> best;
   bool have_best = false;
-  for (TransitionId seed : seed_order(proto_, enabled, opts_.seed)) {
-    std::vector<char> in_set(rel_.n_transitions(), 0);
-    std::vector<TransitionId> work{seed};
-    in_set[seed] = 1;
-    close_over(s, is_enabled, in_set, work);
+  for (const TransitionId seed : sc.seeds) {
+    sc.begin_set();
+    sc.add(seed);
+    bool reduces = close_over(s, sc, n_enabled);
 
     // Visibility (Valmari's V-condition): if the set executes a visible
     // transition, *every* visible transition — enabled or not — must be in
     // the set, so its enablers are explored before orderings are committed.
-    if (opts_.visibility_proviso) {
+    if (reduces && opts_.visibility_proviso) {
       bool executes_visible = false;
-      for (TransitionId t : enabled) {
-        if (in_set[t] && proto_.transition(t).visible) {
+      for (TransitionId t : sc.enabled) {
+        if (sc.contains(t) && proto_.transition(t).visible) {
           executes_visible = true;
           break;
         }
       }
       if (executes_visible) {
         for (TransitionId t = 0; t < rel_.n_transitions(); ++t) {
-          if (proto_.transition(t).visible && !in_set[t]) {
-            in_set[t] = 1;
-            work.push_back(t);
-          }
+          if (proto_.transition(t).visible) sc.add(t);
         }
-        close_over(s, is_enabled, in_set, work);
+        reduces = close_over(s, sc, n_enabled);
       }
     }
 
-    std::vector<std::size_t> chosen;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      if (in_set[events[i].tid]) chosen.push_back(i);
-    }
-    if (chosen.size() >= events.size()) {
+    if (!reduces) {
       if (!opts_.seed_retry) break;  // single-seed mode: give up, expand fully
       continue;  // no reduction; next seed
+    }
+    std::vector<std::size_t> chosen;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (sc.contains(events[i].tid)) chosen.push_back(i);
     }
 
     // Cycle proviso — the ignoring problem: around a cycle of the reduced
@@ -231,7 +297,7 @@ std::vector<std::size_t> SporStrategy::select(const State& s,
       have_best = true;
     }
   }
-  return have_best ? best : all;
+  return have_best ? best : all();
 }
 
 }  // namespace mpb

@@ -89,8 +89,9 @@ class SporStrategy final : public ReductionStrategy {
  public:
   explicit SporStrategy(const Protocol& proto, SporOptions opts = {});
 
-  // Reads only the immutable members built at construction; thread-safe, so
-  // one instance may serve every worker of a parallel search.
+  // Reads only the immutable members built at construction and per-thread
+  // scratch; thread-safe, so one instance may serve every worker of a
+  // parallel search.
   std::vector<std::size_t> select(const State& s, std::span<const Event> events,
                                   const StrategyContext& ctx) override;
 
@@ -114,16 +115,24 @@ class SporStrategy final : public ReductionStrategy {
 
   [[nodiscard]] const StaticRelations& relations() const noexcept { return rel_; }
 
-  // Stubborn transition set computed for the given enabled events; exposed for
-  // tests and the Fig. 4 demo. Returns transition ids.
+  // Stubborn transition set of the heuristic's preferred seed for the given
+  // enabled events, closed by the same routine as select() (no visibility
+  // step, no cycle proviso); exposed for tests and bench/micro_core.cpp.
+  // Returns the enabled transition ids in the set.
   [[nodiscard]] std::vector<TransitionId> stubborn_set(
       const State& s, std::span<const Event> events) const;
 
  private:
-  // Saturate `in_set`/`work` under the stubborn-set closure rules.
-  void close_over(const State& s, std::span<const char> is_enabled,
-                  std::vector<char>& in_set,
-                  std::vector<TransitionId>& work) const;
+  // Per-thread selection scratch (spor.cpp). Each thread has one, reused by
+  // every call it makes, so concurrent pool workers never share it; a probe
+  // or successor callback must not re-enter select() on the same thread.
+  struct Scratch;
+  static Scratch& scratch();
+
+  // Saturate the scratch's candidate set under the stubborn-set closure
+  // rules. Gives up, returning false, once the set holds `stop_at` enabled
+  // transitions (the closure only grows, so such a set cannot shrink back).
+  bool close_over(const State& s, Scratch& sc, std::size_t stop_at) const;
 
   const Protocol& proto_;
   SporOptions opts_;

@@ -84,6 +84,37 @@ TEST(Enabled, QuorumInsufficientSenders) {
   EXPECT_TRUE(pool_insufficient(f.proto, f.proto.initial(), f.tid));
 }
 
+TEST(Enabled, PoolInsufficientCountsDistinctSendersNotMessages) {
+  // Three pending messages (two identical) from one sender: a 2-quorum has
+  // one distinct sender, so its pool is insufficient.
+  auto one_sender = Fixture::make(2, {vmsg(1, 7), vmsg(1, 7), vmsg(1, 8)});
+  EXPECT_TRUE(events_of(one_sender).empty());
+  EXPECT_TRUE(pool_insufficient(one_sender.proto, one_sender.proto.initial(),
+                                one_sender.tid));
+
+  // Duplicates around the run boundaries do not inflate or hide senders:
+  // three distinct senders cover a 3-quorum.
+  auto three = Fixture::make(
+      3, {vmsg(1, 1), vmsg(1, 1), vmsg(2, 5), vmsg(2, 6), vmsg(2, 6), vmsg(3)});
+  EXPECT_FALSE(events_of(three).empty());
+  EXPECT_FALSE(pool_insufficient(three.proto, three.proto.initial(), three.tid));
+
+  // Only allowed senders count: sender 2 is masked out, leaving one.
+  auto masked = Fixture::make(2, {vmsg(1), vmsg(1, 3), vmsg(2), vmsg(2, 4)},
+                              {}, mask_of(1) | mask_of(3));
+  EXPECT_TRUE(events_of(masked).empty());
+  EXPECT_TRUE(pool_insufficient(masked.proto, masked.proto.initial(),
+                                masked.tid));
+
+  // Single-message arity needs one allowed message.
+  auto single = Fixture::make(1, {vmsg(2), vmsg(2)}, {}, mask_of(1));
+  EXPECT_TRUE(pool_insufficient(single.proto, single.proto.initial(),
+                                single.tid));
+  auto single_ok = Fixture::make(1, {vmsg(1), vmsg(2)}, {}, mask_of(1));
+  EXPECT_FALSE(pool_insufficient(single_ok.proto, single_ok.proto.initial(),
+                                 single_ok.tid));
+}
+
 TEST(Enabled, AllowedSendersFilterPool) {
   auto f = Fixture::make(2, {vmsg(1), vmsg(2), vmsg(3)}, {},
                          mask_of(1) | mask_of(2));

@@ -95,8 +95,8 @@ TEST(EngineSccProviso, StatePinsAcrossProvisosOnPaxos231) {
   // Unlike stack/visited, the scc proviso's ample-set choice never consults
   // schedule-dependent search state (the cycle check is a post-pass), so the
   // reduced graph — and the 9,867 pin — is identical at every thread count.
-  // The t8 run exercises the WCC-sharded Tarjan variant; it must produce the
-  // same condensation as the sequential pass.
+  // The pool runs intern into several visited shards, so the SCC pass's
+  // dense numbering spans many shard bases there.
   for (unsigned threads : {2u, 8u}) {
     const ExploreResult par = run_with(CycleProviso::kScc, threads);
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -105,6 +105,27 @@ TEST(EngineSccProviso, StatePinsAcrossProvisosOnPaxos231) {
     EXPECT_EQ(par.stats.states_stored, 9867u);
     EXPECT_EQ(par.stats.scc_reexpansions, 0u);
     EXPECT_GT(par.stats.scc_pass_ms, 0.0);
+  }
+}
+
+TEST(EngineSccProviso, CollapseStoragePinsMatchInterned) {
+  // The SCC pass numbers vertices from the collapse arenas too; the pin and
+  // the empty repair set must not depend on the storage mode.
+  const Protocol proto =
+      make_paxos({.proposers = 2, .acceptors = 3, .learners = 1});
+  for (unsigned threads : {1u, 4u}) {
+    SporOptions opts;
+    opts.proviso = CycleProviso::kScc;
+    SporStrategy strategy(proto, opts);
+    ExploreConfig cfg;
+    cfg.threads = threads;
+    cfg.visited = VisitedMode::kCollapse;
+    const ExploreResult r = explore(proto, cfg, &strategy);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(r.verdict, Verdict::kHolds);
+    EXPECT_EQ(r.stats.states_stored, 9867u);
+    EXPECT_EQ(r.stats.scc_reexpansions, 0u);
+    EXPECT_GT(r.stats.scc_pass_ms, 0.0);
   }
 }
 
@@ -127,20 +148,26 @@ TEST(EngineSccProviso, IgnoredCycleIsRepaired) {
 
   // The SCC pass detects the {init} self-loop SCC with no fully expanded
   // member, re-expands it, executes STEP and finds the violation — with a
-  // replayable trace, sequentially and on the pool.
-  for (unsigned threads : {1u, 8u}) {
-    SporOptions opts;
-    opts.proviso = CycleProviso::kScc;
-    SporStrategy strategy(proto, opts);
-    ExploreConfig cfg;
-    cfg.threads = threads;
-    const ExploreResult scc = explore(proto, cfg, &strategy);
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(scc.verdict, Verdict::kViolated);
-    EXPECT_EQ(scc.violated_property, "never_done");
-    EXPECT_GE(scc.stats.scc_reexpansions, 1u);
-    ASSERT_FALSE(scc.counterexample.empty());
-    EXPECT_TRUE(replay_counterexample(proto, scc));
+  // replayable trace, sequentially and on the pool, over either graph
+  // storage.
+  for (const VisitedMode mode :
+       {VisitedMode::kInterned, VisitedMode::kCollapse}) {
+    for (unsigned threads : {1u, 8u}) {
+      SporOptions opts;
+      opts.proviso = CycleProviso::kScc;
+      SporStrategy strategy(proto, opts);
+      ExploreConfig cfg;
+      cfg.threads = threads;
+      cfg.visited = mode;
+      const ExploreResult scc = explore(proto, cfg, &strategy);
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " visited=" +
+                   std::string(to_string(mode)));
+      EXPECT_EQ(scc.verdict, Verdict::kViolated);
+      EXPECT_EQ(scc.violated_property, "never_done");
+      EXPECT_GE(scc.stats.scc_reexpansions, 1u);
+      ASSERT_FALSE(scc.counterexample.empty());
+      EXPECT_TRUE(replay_counterexample(proto, scc));
+    }
   }
 }
 

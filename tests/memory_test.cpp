@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -33,7 +34,9 @@ Message msg(MsgType t, ProcessId from, ProcessId to, Value payload = 0) {
 
 std::vector<std::byte> blob_of(const std::string& text) {
   std::vector<std::byte> out(text.size());
-  std::memcpy(out.data(), text.data(), text.size());
+  // memcpy from an empty string's data() into an empty vector's (null)
+  // data() is undefined even for zero bytes.
+  if (!text.empty()) std::memcpy(out.data(), text.data(), text.size());
   return out;
 }
 
@@ -341,6 +344,49 @@ TEST(MemoryCollapseVisited, WideLaneEngagesPastU16ComponentIndices) {
   // The replay chain walks every node, wide and narrow, in one pass; only
   // the root carries no event.
   EXPECT_EQ(set.path_from_root(handles.back()).size(), kStates - 1);
+
+  // Dense numbering covers both lanes: a bijection onto [0, kStates) that
+  // keeps handle order (narrow lane first, then the wide lane).
+  std::vector<StateHandle> sorted = handles;
+  std::sort(sorted.begin(), sorted.end());
+  const ShardedVisited::DenseNumbering dense = set.dense_numbering();
+  ASSERT_EQ(dense.size(), kStates);
+  for (std::uint64_t j = 0; j < kStates; ++j) {
+    ASSERT_EQ(dense.of(sorted[j]), j);
+    ASSERT_EQ(dense.handle(j), sorted[j]);
+  }
+  EXPECT_GT(dense.of(handles[10]), dense.of(handles[0xFFFE]));  // wide lane
+}
+
+TEST(MemoryDenseNumbering, BijectiveAndOrderPreservingAcrossShards) {
+  // The SCC pass indexes flat arrays by dense number; every graph mode and
+  // shard count must map the stored handles onto [0, size()) in handle
+  // order, with empty shards in between.
+  for (const VisitedMode mode : {VisitedMode::kInterned, VisitedMode::kCollapse}) {
+    for (const unsigned shards : {1u, 8u, 64u}) {
+      SCOPED_TRACE(std::string(to_string(mode)) + " shards=" +
+                   std::to_string(shards));
+      ShardedVisited set(mode, shards);
+      EXPECT_EQ(set.dense_numbering().size(), 0u);
+      std::vector<StateHandle> handles;
+      for (Value i = 0; i < 40; ++i) {
+        const State s({i, static_cast<Value>(i % 3)}, {});
+        handles.push_back(set.insert(s, s.fingerprint(), kNoHandle, nullptr).handle);
+      }
+      std::sort(handles.begin(), handles.end());
+      const ShardedVisited::DenseNumbering dense = set.dense_numbering();
+      ASSERT_EQ(dense.size(), handles.size());
+      for (std::uint64_t j = 0; j < handles.size(); ++j) {
+        EXPECT_EQ(dense.of(handles[j]), j);
+        EXPECT_EQ(dense.handle(j), handles[j]);
+      }
+    }
+  }
+  // Modes that store no graph number nothing.
+  ShardedVisited fp(VisitedMode::kFingerprint, 4);
+  const State s({1}, {});
+  fp.insert(s);
+  EXPECT_EQ(fp.dense_numbering().size(), 0u);
 }
 
 // The committed soundness pins, reproduced byte-for-byte by the compressed
