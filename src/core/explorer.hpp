@@ -226,6 +226,18 @@ struct ExploreStats {
   std::uint64_t visited_bytes = 0;
   unsigned max_depth_seen = 0;
   unsigned threads_used = 1;
+  // Wall-clock of the run. The span differs per driver, and cross-driver
+  // comparisons (the bench's dist/r1 over full/t1 gate) rely on it:
+  //  * SequentialDriver / StackReplayDriver (t1 searches, DPOR): start()
+  //    to finish(), i.e. after the ExpansionCore and its visited set are
+  //    built and before they are torn down; the SCC pass is inside.
+  //  * PoolDriver: from run() entry (core built) through worker spawn and
+  //    join, trace replay and the SCC pass, to before teardown.
+  //  * run_distributed (src/dist): from before the socketpair mesh is built
+  //    and the ranks are forked to the arrival of the last rank's final
+  //    report, when the merged verdict is known. Reaping the rank processes
+  //    (each tearing down its own visited set) and the launcher's
+  //    counterexample replay are outside it.
   double seconds = 0.0;
 };
 

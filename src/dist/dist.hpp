@@ -71,6 +71,13 @@ using StrategyFactory = std::function<std::unique_ptr<ReductionStrategy>()>;
 // across ranks. `make_strategy` may be null (full expansion); it is invoked
 // once inside each child, so every rank owns an independent strategy.
 // Throws DistError if a rank dies before reporting.
+//
+// stats.seconds runs from before the mesh is built and the ranks are forked
+// (both real partition cost) to the arrival of the last rank's kFinal, when
+// the verdict is known; the ranks' exit and reap, and the counterexample
+// replay, are outside it. That ends the span where the in-process drivers
+// end theirs (before teardown), so dist/r1 over full/t1 compares like with
+// like (core/explorer.hpp, ExploreStats::seconds).
 [[nodiscard]] ExploreResult run_distributed(const Protocol& proto,
                                             const ExploreConfig& cfg,
                                             const DistConfig& dc,

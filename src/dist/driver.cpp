@@ -7,6 +7,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <chrono>
 #include <limits>
@@ -222,6 +226,16 @@ ExploreResult run_distributed(const Protocol& proto, const ExploreConfig& cfg,
     pids[r] = pid;
   }
   mesh.close_child_ends();
+#if defined(__GLIBC__)
+  // Each rank inherits the launcher's heap copy-on-write, including the free
+  // pages the allocator keeps after earlier searches in this process, and
+  // its first allocations reuse exactly those chunks. While the launcher
+  // still maps such a page, the rank's first write to it copies the page.
+  // Handing the launcher's free pages back to the kernel leaves them to the
+  // ranks, so a lone rank's first write reuses its page in place instead.
+  // Done after the forks, the trim runs while the ranks already search.
+  (void)malloc_trim(0);
+#endif
 
   std::vector<FrameConn> control;
   control.reserve(n);
@@ -244,6 +258,9 @@ ExploreResult run_distributed(const Protocol& proto, const ExploreConfig& cfg,
   std::vector<bool> have_final(n, false);
   std::vector<RankProgress> progress(n);
   unsigned n_finals = 0;
+  // When the last kFinal arrived: the merged verdict is known from here on,
+  // so this (not the reap below) closes the run's timed span.
+  double t_verdict = 0.0;
   bool cancelled = false;
   std::string death;
 
@@ -280,7 +297,7 @@ ExploreResult run_distributed(const Protocol& proto, const ExploreConfig& cfg,
             if (!have_final[r]) {
               finals[r] = decode_final(c);
               have_final[r] = true;
-              ++n_finals;
+              if (++n_finals == n) t_verdict = now_seconds();
             }
             break;
           case FrameType::kProgress: {
@@ -329,7 +346,7 @@ ExploreResult run_distributed(const Protocol& proto, const ExploreConfig& cfg,
   mesh.close_all();
   if (!death.empty()) throw DistError(death);
 
-  ExploreResult out = merge_finals(finals, now_seconds() - t0);
+  ExploreResult out = merge_finals(finals, t_verdict - t0);
   if (out.verdict == Verdict::kViolated) {
     if (cfg.on_violation) cfg.on_violation(out.violated_property);
     // Lowest-ranked violator with a reconstructed chain supplies the trace.

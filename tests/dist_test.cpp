@@ -286,6 +286,31 @@ TEST(DistSearch, FullSearchPinsHoldAtEveryRankCount) {
   }
 }
 
+TEST(DistSearch, SymmetricSearchMatchesSequentialAtEveryRankCount) {
+  // Under symmetry the rank canonicalizes before inserting; a lone rank
+  // skips the owner hash, a partitioned one routes by the canonical
+  // fingerprint. Both must store exactly the sequential orbit count.
+  const auto run = [](unsigned ranks) {
+    check::CheckRequest req;
+    req.model = "paxos";
+    req.params = {{"proposers", "2"}, {"acceptors", "3"}, {"learners", "1"}};
+    req.strategy = "full";
+    req.symmetry = true;
+    req.dist_ranks = ranks;
+    return check::run_check(std::move(req));
+  };
+  const check::CheckResult ref = run(0);
+  ASSERT_EQ(ref.verdict(), Verdict::kHolds);
+  ASSERT_LT(ref.stats().states_stored, 9945u);  // symmetry reduced
+  for (unsigned ranks : {1u, 2u}) {
+    const check::CheckResult r = run(ranks);
+    SCOPED_TRACE("ranks=" + std::to_string(ranks));
+    EXPECT_EQ(r.verdict(), Verdict::kHolds);
+    EXPECT_EQ(r.stats().states_stored, ref.stats().states_stored);
+    EXPECT_GT(r.stats().seconds, 0.0);
+  }
+}
+
 TEST(DistSearch, SporSccReductionPinHoldsAcrossRanks) {
   // spor under the SCC proviso: the reduced graph is schedule-independent,
   // so the 9,867 pin must reproduce at every rank count too.
