@@ -233,7 +233,10 @@ ExploreResult run_distributed(const Protocol& proto, const ExploreConfig& cfg,
   // still maps such a page, the rank's first write to it copies the page.
   // Handing the launcher's free pages back to the kernel leaves them to the
   // ranks, so a lone rank's first write reuses its page in place instead.
-  // Done after the forks, the trim runs while the ranks already search.
+  // Done after the forks, the trim runs while the ranks already search. It
+  // only pays when the launcher holds a freed heap (after earlier searches
+  // in the same process, as in a bench sweep); a fresh one-shot launcher
+  // has next to nothing to hand back.
   (void)malloc_trim(0);
 #endif
 

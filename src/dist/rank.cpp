@@ -400,7 +400,8 @@ class RankLoop {
 
   void seed_root() {
     State init = proto_.initial();
-    if (owner(init) != rank_) return;
+    const Fingerprint fp = core_.canonical_fingerprint(init);
+    if (owner_of(fp, nranks_) != rank_) return;
     if (const Property* p = proto_.violated_property(init)) {
       record_violation(p->name, kNoHandle, nullptr);
       return;
@@ -409,13 +410,6 @@ class RankLoop {
     Item* root = me.alloc();
     root->s = std::move(init);
     if (!insert_local(root, kNoHandle, nullptr, 0)) me.release(root);
-  }
-
-  // The rank owning `s`. A lone rank owns everything, so it skips the
-  // canonicalization the owner hash would need (a full one under symmetry).
-  [[nodiscard]] unsigned owner(const State& s) const {
-    if (nranks_ == 1) return rank_;
-    return owner_of(core_.canonical_fingerprint(s), nranks_);
   }
 
   // Insert a state this rank owns (root, local successor, or a received
@@ -516,8 +510,10 @@ class RankLoop {
         // Mirror the in-process drivers: the assertion-failing successor is
         // still a reachable state and gets inserted/routed like any other.
       }
-      if (const unsigned to = owner(succ->s); to != rank_) {
-        forward(to, succ->s, e, item.handle, item.depth + 1);
+      const Fingerprint fp = core_.canonical_fingerprint(succ->s);
+      const unsigned owner = owner_of(fp, nranks_);
+      if (owner != rank_) {
+        forward(owner, succ->s, e, item.handle, item.depth + 1);
         me.release(succ);
         continue;
       }

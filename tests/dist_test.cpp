@@ -287,9 +287,9 @@ TEST(DistSearch, FullSearchPinsHoldAtEveryRankCount) {
 }
 
 TEST(DistSearch, SymmetricSearchMatchesSequentialAtEveryRankCount) {
-  // Under symmetry the rank canonicalizes before inserting; a lone rank
-  // skips the owner hash, a partitioned one routes by the canonical
-  // fingerprint. Both must store exactly the sequential orbit count.
+  // Under symmetry every rank routes by the canonical fingerprint and
+  // canonicalizes before inserting, so a lone rank and a partitioned pair
+  // must both store exactly the sequential orbit count.
   const auto run = [](unsigned ranks) {
     check::CheckRequest req;
     req.model = "paxos";
